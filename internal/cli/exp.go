@@ -44,7 +44,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		hosts   = fs.String("hosts", "", "run shards on remote mtworkd daemons: comma-separated host:port list, or @file with one per line (implies sharded execution); output is identical to a local run")
 		authF   = fs.String("auth", os.Getenv("MTWORKD_AUTH"), "shared secret for -hosts daemons started with mtworkd -auth (default $MTWORKD_AUTH)")
 		worker  = fs.Bool("worker", false, "run as a shard worker subprocess (internal; speaks the shard protocol on stdin/stdout)")
-		solverF = fs.String("solver", "auto", "reference-engine equation solver for DC analyses: auto | dense | sparse; output is byte-identical for any value")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
 	)
@@ -61,10 +60,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		// worker travel back on the wire; the exit code (via ExitCode)
 		// covers deaths without a result frame.
 		return shard.ServeWorker(ctx, os.Stdin, w)
-	}
-	solver, err := mtcmos.ParseSolver(*solverF)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	prof, err := profF.start()
 	if err != nil {
@@ -90,7 +85,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		Seed:           *seed,
 		Ctx:            ctx,
 		Workers:        *jobs,
-		Solver:         solver,
 	}
 	var runner *shard.Runner
 	if *shards > 0 || *resume != "" || *hosts != "" {

@@ -53,7 +53,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		hosts   = fs.String("hosts", "", "run sweep shards on remote mtworkd daemons: comma-separated host:port list, or @file with one per line (implies sharded execution); output is identical to a local run")
 		authF   = fs.String("auth", os.Getenv("MTWORKD_AUTH"), "shared secret for -hosts daemons started with mtworkd -auth (default $MTWORKD_AUTH)")
 		worker  = fs.Bool("worker", false, "run as a shard worker subprocess (internal; speaks the shard protocol on stdin/stdout)")
-		solverF = fs.String("solver", "auto", "reference-engine equation solver: auto | dense | sparse (spice engine and -netlist runs)")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
 	)
@@ -67,10 +66,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if *worker {
 		return shard.ServeWorker(ctx, os.Stdin, w)
 	}
-	solver, err := mtcmos.ParseSolver(*solverF)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
-	}
 	prof, err := profF.start()
 	if err != nil {
 		return err
@@ -80,7 +75,7 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	defer cancel()
 
 	if *netFile != "" {
-		return runNetlist(ctx, w, *netFile, *techF, *tstop, *traceS, *plot, *nolint, *maxStep, solver)
+		return runNetlist(ctx, w, *netFile, *techF, *tstop, *traceS, *plot, *nolint, *maxStep)
 	}
 
 	var wls []float64
@@ -173,7 +168,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		}
 		ropts := mtcmos.SpiceOptions{Options: mtcmos.EngineOptions{
 			TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: *maxStep,
-			Solver: solver,
 		}}
 		if *traceS != "" {
 			ropts.RecordNets = strings.Split(*traceS, ",")
@@ -487,7 +481,7 @@ func newSeries(name string) *mtcmos.Series {
 }
 
 func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []string, traced string, plot bool) {
-	fmt.Fprintf(w, "steps: %d  sweeps: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
 	worst, worstNet := 0.0, ""
 	for _, n := range outs {
 		if d, err := res.Delay(n); err == nil {
@@ -522,7 +516,7 @@ func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []
 	}
 }
 
-func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced string, plot, nolint bool, maxSteps int, solver mtcmos.Solver) error {
+func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced string, plot, nolint bool, maxSteps int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -549,7 +543,7 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 		}
 		ts = v
 	}
-	opts := mtcmos.EngineOptions{TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: maxSteps, Solver: solver}
+	opts := mtcmos.EngineOptions{TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: maxSteps}
 	if traced != "" {
 		opts.Record = strings.Split(traced, ",")
 	}
@@ -557,7 +551,7 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "steps: %d  sweeps: %d\n", res.Steps, res.Sweeps)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d\n", res.Steps, res.Sweeps)
 	for name, tr := range res.Traces {
 		fmt.Fprintf(w, "node %-14s final %.4g V (%d samples)\n", name, tr.Final(), tr.Len())
 		if plot {

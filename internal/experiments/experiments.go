@@ -55,14 +55,6 @@ type Config struct {
 	// §9); -j N on cmd/mtexp sets this.
 	Workers int
 
-	// Solver selects the reference engine's linear kernel (dense,
-	// sparse, or size-based auto) for the experiments that run a full
-	// Newton DC analysis (standby). Transient experiments keep the
-	// relaxation solver regardless, so every experiment's rendered
-	// output is byte-identical across solver choices; -solver on
-	// cmd/mtexp sets this.
-	Solver spice.Solver
-
 	// Shard, when non-nil, runs the big vector grids (Fig. 14, the
 	// speedup sweep) on the fault-tolerant multi-process executor
 	// (internal/shard): worker subprocesses with heartbeats, retry,

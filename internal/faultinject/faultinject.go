@@ -1,7 +1,7 @@
 // Package faultinject seeds deterministic failures into the reference
 // transient engine's device evaluations: NaN currents, current spikes,
-// and per-evaluation jitter that keeps relaxation sweeps from ever
-// settling ("stuck iterations"). It exists to prove the resilience
+// and per-iteration jitter that keeps the Newton step solver from
+// ever settling ("stuck iterations"). It exists to prove the resilience
 // machinery in internal/spice actually works — that every rung of the
 // convergence-recovery ladder fires in order and rescues the step it
 // is designed to rescue, that the NaN guards fail fast with the
@@ -49,10 +49,9 @@ const (
 	// Spike multiplies the device current by Magnitude.
 	Spike
 	// Stuck adds ±Magnitude to the current, alternating sign on every
-	// relaxation sweep: the bias cancels inside one Newton iteration's
-	// numeric derivative (so the solver stays well-posed) but flips
-	// between sweeps, so the sweep-to-sweep movement never settles
-	// below the convergence tolerance.
+	// Newton iteration: the bias is constant within one iteration (so
+	// its Jacobian stays well-posed) but flips between iterations, so
+	// the update never settles below the convergence tolerance.
 	Stuck
 )
 

@@ -71,67 +71,77 @@ func TestBaselineConverges(t *testing.T) {
 	}
 }
 
+// rungCases seeds one stuck-iteration fault per recovery rung; each
+// fault clears only once the engine escalates to that rung.
+var rungCases = []struct {
+	name  string
+	fault Fault
+	check func(t *testing.T, st spice.RecoveryStats)
+}{
+	// One failed attempt evaluates the target device once per
+	// Newton iteration (one stamp pass each), so a 60-iteration
+	// attempt burns 60 hits: a Count of 75 fully poisons the first
+	// step attempt and then expires a few iterations into the
+	// retry, so the single seeded failure is rescued by back-off
+	// alone. (A persistent fault would pin the timestep at DTMin
+	// after a few rescued steps and legitimately escalate to
+	// damping.)
+	{"backoff", Fault{
+		Kind: Stuck, Device: "mn", Start: 1.1e-9, Count: 75,
+		ClearAtRung: spice.RungBackoff,
+	}, func(t *testing.T, st spice.RecoveryStats) {
+		if st.Backoffs == 0 {
+			t.Errorf("back-off must fire, stats %+v", st)
+		}
+		if st.Dampings+st.GminSteps+st.SourceRamps != 0 {
+			t.Errorf("higher rungs must not fire, stats %+v", st)
+		}
+	}},
+	{"damping", Fault{
+		Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
+		ClearAtRung: spice.RungDamping,
+	}, func(t *testing.T, st spice.RecoveryStats) {
+		if st.Dampings == 0 || st.Rescued == 0 {
+			t.Errorf("damping must rescue, stats %+v", st)
+		}
+		if st.GminSteps+st.SourceRamps != 0 {
+			t.Errorf("higher rungs must not fire, stats %+v", st)
+		}
+	}},
+	{"gmin", Fault{
+		Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
+		ClearAtRung: spice.RungGmin,
+	}, func(t *testing.T, st spice.RecoveryStats) {
+		if st.GminSteps == 0 || st.Rescued == 0 {
+			t.Errorf("gmin stepping must rescue, stats %+v", st)
+		}
+		if st.SourceRamps != 0 {
+			t.Errorf("source ramp must not fire, stats %+v", st)
+		}
+	}},
+	{"source-ramp", Fault{
+		Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
+		ClearAtRung: spice.RungSourceRamp,
+	}, func(t *testing.T, st spice.RecoveryStats) {
+		if st.SourceRamps == 0 || st.Rescued == 0 {
+			t.Errorf("source ramping must rescue, stats %+v", st)
+		}
+	}},
+}
+
 // TestEachRungRescues seeds a stuck-iteration fault that clears only
 // once the engine escalates to a given recovery rung, proving each rung
 // fires in ladder order and rescues the run: every rung below the
 // target keeps failing, the target rung sees a clean circuit and
 // converges, and the waveform stays physical.
+//
+// The ladder enters the Newton step solver as an omega-damped update
+// vector, a gmin diagonal stamp and ramped source values. The
+// alternating bias shifts the stamped residual by ±Magnitude between
+// Newton iterations, so the update never settles below VTol until the
+// rung that clears the fault.
 func TestEachRungRescues(t *testing.T) {
-	cases := []struct {
-		name  string
-		fault Fault
-		check func(t *testing.T, st spice.RecoveryStats)
-	}{
-		// One failed 60-sweep attempt evaluates the target device 240
-		// times (2 residuals x 2 Newton iterations per sweep), so a
-		// Count of 300 fully poisons the first step attempt and then
-		// expires part-way into the retry: the single seeded failure is
-		// rescued by back-off alone. (A persistent fault would pin the
-		// timestep at DTMin after a few rescued steps and legitimately
-		// escalate to damping.)
-		{"backoff", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, Count: 300,
-			ClearAtRung: spice.RungBackoff,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.Backoffs == 0 {
-				t.Errorf("back-off must fire, stats %+v", st)
-			}
-			if st.Dampings+st.GminSteps+st.SourceRamps != 0 {
-				t.Errorf("higher rungs must not fire, stats %+v", st)
-			}
-		}},
-		{"damping", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungDamping,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.Dampings == 0 || st.Rescued == 0 {
-				t.Errorf("damping must rescue, stats %+v", st)
-			}
-			if st.GminSteps+st.SourceRamps != 0 {
-				t.Errorf("higher rungs must not fire, stats %+v", st)
-			}
-		}},
-		{"gmin", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungGmin,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.GminSteps == 0 || st.Rescued == 0 {
-				t.Errorf("gmin stepping must rescue, stats %+v", st)
-			}
-			if st.SourceRamps != 0 {
-				t.Errorf("source ramp must not fire, stats %+v", st)
-			}
-		}},
-		{"source-ramp", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungSourceRamp,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.SourceRamps == 0 || st.Rescued == 0 {
-				t.Errorf("source ramping must rescue, stats %+v", st)
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range rungCases {
 		t.Run(tc.name, func(t *testing.T) {
 			// All faults target a single device (a bias applied to
 			// every device on the node would cancel in the KCL sum)
@@ -157,6 +167,9 @@ func TestEachRungRescues(t *testing.T) {
 	}
 }
 
+// TestNaNFailsFastWithDiagnostics: injected NaN poisons the stamped
+// residual, the solved update goes non-finite, and the per-update guard
+// must fail fast with the node named.
 func TestNaNFailsFastWithDiagnostics(t *testing.T) {
 	inj := New(Fault{Kind: NaN, Device: "mn", Start: 1.2e-9})
 	res, err := runWith(t, inj, spice.Options{})

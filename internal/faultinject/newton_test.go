@@ -2,17 +2,33 @@ package faultinject
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mtcmos/internal/simerr"
 	"mtcmos/internal/spice"
 )
 
-// These tests rerun the recovery-ladder proofs on the transient
-// full-Newton sparse path (Options.Solver = SolverSparse): the ladder
-// enters the matrix solver as an omega-damped update vector, a gmin
-// diagonal stamp and ramped source values, so every rung must rescue
-// its seeded failure exactly as it does on the relaxation path.
+// These tests rerun the recovery-ladder proofs with the transient
+// kernel named explicitly (Options.Solver = SolverSparse, the selection
+// callers such as the perfbench reference workload pass). SolverSparse
+// and the zero value must be one and the same sparse Newton kernel, so
+// each run must match the default-path run exactly: same rung counts,
+// same accepted waveform.
+
+// sameRun requires the explicit-kernel run to reproduce the default
+// run bit for bit.
+func sameRun(t *testing.T, sparse, def *spice.Result) {
+	t.Helper()
+	if sparse.Recovery != def.Recovery {
+		t.Errorf("SolverSparse recovery %+v, default %+v", sparse.Recovery, def.Recovery)
+	}
+	s, d := sparse.Trace("out"), def.Trace("out")
+	if !slices.Equal(s.T, d.T) || !slices.Equal(s.V, d.V) {
+		t.Errorf("SolverSparse waveform (%d samples) differs from the default (%d samples)",
+			s.Len(), d.Len())
+	}
+}
 
 func TestBaselineConvergesSparseNewton(t *testing.T) {
 	res, err := runWith(t, New(), spice.Options{Solver: spice.SolverSparse})
@@ -25,69 +41,18 @@ func TestBaselineConvergesSparseNewton(t *testing.T) {
 	if v := res.Trace("out").At(2.5e-9); v > 0.6 {
 		t.Errorf("final V(out) = %g, inverter must have switched low", v)
 	}
+	def, err := runWith(t, New(), spice.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, res, def)
 }
 
-// TestEachRungRescuesSparseNewton seeds a stuck-iteration fault that
-// clears only at a given rung, with the sparse Newton kernel solving
-// every attempt. The alternating bias shifts the stamped residual by
-// ±Magnitude between Newton iterations, so the update vector never
-// settles below VTol until the rung that clears the fault.
+// TestEachRungRescuesSparseNewton seeds the rungCases faults with the
+// kernel selected explicitly: each rung must rescue its seeded failure
+// and the rescue must retrace the default run.
 func TestEachRungRescuesSparseNewton(t *testing.T) {
-	cases := []struct {
-		name  string
-		fault Fault
-		check func(t *testing.T, st spice.RecoveryStats)
-	}{
-		// One failed Newton attempt evaluates the target device once
-		// per iteration (one stamp pass each), so a 60-iteration
-		// attempt burns 60 hits: Count 75 fully poisons the first
-		// attempt and expires a few iterations into the next step,
-		// keeping the single seeded failure a back-off-only rescue
-		// (the relaxation variant needs Count 300 for the same effect
-		// because each sweep re-evaluates the device four times).
-		{"backoff", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, Count: 75,
-			ClearAtRung: spice.RungBackoff,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.Backoffs == 0 {
-				t.Errorf("back-off must fire, stats %+v", st)
-			}
-			if st.Dampings+st.GminSteps+st.SourceRamps != 0 {
-				t.Errorf("higher rungs must not fire, stats %+v", st)
-			}
-		}},
-		{"damping", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungDamping,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.Dampings == 0 || st.Rescued == 0 {
-				t.Errorf("damping must rescue, stats %+v", st)
-			}
-			if st.GminSteps+st.SourceRamps != 0 {
-				t.Errorf("higher rungs must not fire, stats %+v", st)
-			}
-		}},
-		{"gmin", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungGmin,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.GminSteps == 0 || st.Rescued == 0 {
-				t.Errorf("gmin stepping must rescue, stats %+v", st)
-			}
-			if st.SourceRamps != 0 {
-				t.Errorf("source ramp must not fire, stats %+v", st)
-			}
-		}},
-		{"source-ramp", Fault{
-			Kind: Stuck, Device: "mn", Start: 1.1e-9, End: 1.11e-9,
-			ClearAtRung: spice.RungSourceRamp,
-		}, func(t *testing.T, st spice.RecoveryStats) {
-			if st.SourceRamps == 0 || st.Rescued == 0 {
-				t.Errorf("source ramping must rescue, stats %+v", st)
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range rungCases {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := New(tc.fault)
 			res, err := runWith(t, inj, spice.Options{Solver: spice.SolverSparse})
@@ -101,14 +66,18 @@ func TestEachRungRescuesSparseNewton(t *testing.T) {
 			if v := res.Trace("out").At(2.5e-9); v > 0.6 {
 				t.Errorf("final V(out) = %g, rescued run lost the waveform", v)
 			}
+			def, err := runWith(t, New(tc.fault), spice.Options{})
+			if err != nil {
+				t.Fatalf("default run must be rescued too, got %v", err)
+			}
+			sameRun(t, res, def)
 		})
 	}
 }
 
-// TestNaNFailsFastSparseNewton: injected NaN poisons the stamped
-// residual, the solved update goes non-finite, and the per-update
-// guard must fail fast with the node named — same contract as the
-// relaxation path.
+// TestNaNFailsFastSparseNewton: with the kernel selected explicitly,
+// injected NaN must fail fast with the node named, at the same time and
+// after the same partial waveform as on the default path.
 func TestNaNFailsFastSparseNewton(t *testing.T) {
 	inj := New(Fault{Kind: NaN, Device: "mn", Start: 1.2e-9})
 	res, err := runWith(t, inj, spice.Options{Solver: spice.SolverSparse})
@@ -125,4 +94,14 @@ func TestNaNFailsFastSparseNewton(t *testing.T) {
 	if res == nil || res.Trace("out").Len() < 2 {
 		t.Fatal("partial result must carry the pre-failure waveform")
 	}
+	def, defErr := runWith(t, New(Fault{Kind: NaN, Device: "mn", Start: 1.2e-9}), spice.Options{})
+	var dse *simerr.Error
+	if !errors.As(defErr, &dse) {
+		t.Fatalf("default run must fail with a *simerr.Error, got %v", defErr)
+	}
+	if dse.T != se.T || dse.Node != se.Node {
+		t.Errorf("SolverSparse failed at %g on %q, default at %g on %q",
+			se.T, se.Node, dse.T, dse.Node)
+	}
+	sameRun(t, res, def)
 }

@@ -50,7 +50,7 @@ type Error struct {
 	T    float64 // simulated time of the failure (seconds)
 	Dt   float64 // timestep being attempted (spice; 0 if n/a)
 
-	Sweeps int // relaxation sweeps spent over the whole run
+	Sweeps int // Newton iterations spent over the whole run (spice)
 	Steps  int // accepted timesteps (spice) or events (core) so far
 
 	Msg string // free-form context

@@ -2,13 +2,12 @@
 // transient simulator: the stand-in for the commercial SPICE the paper
 // compares its switch-level tool against (see DESIGN.md substitutions).
 //
-// The engine is an iterated-timing-analysis relaxation simulator in the
-// SPLICE tradition: every node carries a grounded capacitance (explicit
-// caps plus a configurable floor), each backward-Euler timestep is
-// solved by Gauss-Seidel sweeps of per-node scalar Newton iterations,
-// and the timestep adapts to convergence behaviour. For the mostly
-// unidirectional digital MOS circuits this toolkit targets, the scheme
-// converges quickly and reproduces the first-order physics the paper's
+// Every node carries its explicit grounded capacitance. Each
+// backward-Euler timestep is solved by full Newton iteration over all
+// free nodes, with an analytic Jacobian assembled from device stamps
+// and factored by a sparse LU (stamp.go, sparse.go, newton.go); the
+// timestep adapts to the iteration count.
+// The scheme reproduces the first-order physics the paper's
 // comparisons rely on: gate-drive loss and body effect from virtual
 // ground bounce, vector-dependent discharge current overlap, and RC
 // relaxation of the virtual ground rail.
@@ -37,8 +36,8 @@ type Options struct {
 	Cmin  float64 // per-node capacitance floor (default 0.1fF)
 
 	// Convergence control.
-	VTol     float64 // per-sweep voltage convergence (default 20uV)
-	MaxSweep int     // Gauss-Seidel sweeps per step (default 60)
+	VTol     float64 // Newton update convergence (default 20uV)
+	MaxSweep int     // Newton iterations per step attempt (default 60)
 
 	// Record lists node names to trace; nil records every node.
 	Record []string
@@ -77,10 +76,9 @@ type Options struct {
 	// current evaluation (fault injection; see internal/faultinject).
 	Intercept Intercept
 
-	// Solver selects the linear kernel behind the full-Newton solvers
-	// (see stamp.go). SolverAuto keeps the per-node relaxation for
-	// transient steps and picks dense/sparse by circuit size for DC;
-	// SolverDense and SolverSparse force a matrix kernel everywhere.
+	// Solver selects the transient step's linear kernel (see stamp.go).
+	// SolverAuto and SolverSparse both mean the sparse Newton kernel;
+	// SolverDense is the test oracle.
 	Solver Solver
 }
 
@@ -113,7 +111,7 @@ type Result struct {
 	// Options.MeasureCurrent.
 	Currents map[string]*wave.Trace
 	Steps    int // accepted timesteps
-	Sweeps   int // total Gauss-Seidel sweeps
+	Sweeps   int // total Newton iterations
 	Evals    int // total device evaluations
 	// Recovery counts convergence-recovery ladder activity.
 	Recovery RecoveryStats
@@ -221,13 +219,13 @@ type Engine struct {
 	nodeRes  [][]int32
 	nodeCaps [][]int32
 
-	order []int32 // free-node relaxation order
+	order []int32 // free nodes: the Newton unknowns, in matrix order
 
 	pool sync.Pool // *runState: recycled per-run solver vectors
 
 	// Sparse analytic-Jacobian solver context (stamp.go), built lazily
-	// on first use so relaxation-only runs never pay the ordering cost;
-	// the symbolic factorization is then shared by every solve.
+	// on first use; the symbolic factorization is then shared by every
+	// solve.
 	sparseOnce sync.Once
 	sp         *sparseCtx
 }

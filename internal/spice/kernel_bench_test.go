@@ -46,7 +46,7 @@ func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engin
 	return e, seed
 }
 
-// warmSeed settles every strongly-driven node with a short relaxation
+// warmSeed settles every strongly-driven node with a short coarse
 // transient and returns the final voltages — the two-stage pattern the
 // standby analysis uses before its Newton solve.
 func warmSeed(b *testing.B, e *Engine, seed map[string]float64) map[string]float64 {
@@ -95,7 +95,7 @@ func BenchmarkKernelOPAdder(b *testing.B) {
 }
 
 // BenchmarkKernelOPMultiplier: DC operating point of the 4x4 carry-save
-// multiplier from a relaxation-settled warm start — the largest DC
+// multiplier from a transient-settled warm start — the largest DC
 // solve the experiments run per size point, in the two-stage shape the
 // standby analysis uses. (The paper's 8x8 instance is ~4x the nodes;
 // dense grows cubically, so the gap widens further there.)
@@ -120,7 +120,7 @@ func BenchmarkKernelStandby(b *testing.B) {
 			inputs := ad.Inputs(3, 0, false)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := StandbyWith(ad.Circuit, inputs, solver); err != nil {
+				if _, err := standbyWith(ad.Circuit, inputs, solver); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,13 +2,12 @@ package spice
 
 import "math"
 
-// This file is the transient full-Newton step solver: the matrix
-// alternative to the per-node Gauss-Seidel relaxation in solveSweeps,
-// selected by Options.Solver (dense or sparse; auto keeps relaxation).
-// One backward-Euler step is solved by Newton iterations over all free
-// nodes simultaneously — each iteration assembles the KCL residual
-// with companion-model capacitor stamps and solves J·delta = f with
-// the chosen linear kernel.
+// This file is the transient step solver. One backward-Euler step is
+// solved by Newton iterations over all free nodes simultaneously — each
+// iteration assembles the KCL residual with companion-model capacitor
+// stamps and solves J·delta = f with the sparse analytic-Jacobian
+// kernel. Options.Solver = SolverDense swaps in the numeric-probe dense
+// kernel, the oracle the sparse path is tested against.
 //
 // The recovery ladder plugs in unchanged: an attempt's omega
 // under-relaxes the whole update vector (RungDamping), its gmin loads
@@ -18,7 +17,7 @@ import "math"
 // diagonal and RHS modifications of the same Newton system.
 
 // newtonWork holds the transient Newton workspaces of one runState:
-// the sparse kernel's factorization state and the dense kernel's
+// the sparse kernel's factorization state and the dense oracle's
 // probe/Jacobian buffers, allocated on first use and recycled with the
 // runState through the engine pool.
 type newtonWork struct {
@@ -27,16 +26,16 @@ type newtonWork struct {
 	jac   [][]float64 // dense: probed Jacobian
 }
 
-func (st *runState) newton(e *Engine, solver Solver) *newtonWork {
+func (st *runState) newton(e *Engine, dense bool) *newtonWork {
 	if st.nw == nil {
 		st.nw = &newtonWork{}
 	}
 	nw := st.nw
 	nf := len(e.order)
-	if solver == SolverSparse && nw.w == nil {
+	if !dense && nw.w == nil {
 		nw.w = e.sparse().lease()
 	}
-	if solver == SolverDense && nw.jac == nil {
+	if dense && nw.jac == nil {
 		nw.f = make([]float64, nf)
 		nw.fp = make([]float64, nf)
 		nw.jac = make([][]float64, nf)
@@ -47,36 +46,31 @@ func (st *runState) newton(e *Engine, solver Solver) *newtonWork {
 	return nw
 }
 
-// solveNewton solves one timestep attempt by full Newton iteration,
-// honoring the same attempt parameters and convergence contract as
-// solveSweeps: at most a.maxSweep iterations, per-update NaN guard
-// with the offending node identified, converged when the largest
-// applied voltage move falls below VTol.
-func (e *Engine) solveNewton(o *Options, st *runState, a attempt, solver Solver) sweepOut {
-	out := sweepOut{worst: -1}
+// solveNewton solves one timestep attempt by full Newton iteration: at
+// most a.maxIter iterations, a per-update NaN guard with the offending
+// node identified, converged when the largest applied voltage move
+// falls below VTol.
+func (e *Engine) solveNewton(o *Options, st *runState, a attempt) stepOut {
+	out := stepOut{worst: -1}
 	nf := len(e.order)
 	if nf == 0 {
 		out.converged = true
 		return out
 	}
-	nw := st.newton(e, solver)
+	dense := o.Solver == SolverDense
+	nw := st.newton(e, dense)
 	vtrial, vprev := st.vtrial, st.vprev
-	// Same per-node step limiter as the relaxation solver.
+	// Per-node step limiter: caps each node's update at (|Vdd|+1)/2.
 	lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
 
 	var sp *sparseCtx
-	if solver == SolverSparse {
+	if !dense {
 		sp = e.sparse()
 	}
-	for ; out.sweeps < a.maxSweep; out.sweeps++ {
-		st.einfo.Sweep = out.sweeps
+	for ; out.iters < a.maxIter; out.iters++ {
+		st.einfo.Sweep = out.iters
 		var delta []float64
-		if solver == SolverSparse {
-			e.stampSystem(sp, nw.w, vtrial, vprev, a.dt, a.gmin, st)
-			sp.sym.refactor(nw.w.num, nw.w.aval)
-			sp.sym.solve(nw.w.num, nw.w.rhs, nw.w.delta)
-			delta = nw.w.delta
-		} else {
+		if dense {
 			for k, i := range e.order {
 				nw.f[k] = e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
 			}
@@ -93,6 +87,11 @@ func (e *Engine) solveNewton(o *Options, st *runState, a attempt, solver Solver)
 				}
 			}
 			delta, _ = solveDense(nw.jac, nw.f) // error path is unreachable
+		} else {
+			e.stampSystem(sp, nw.w, vtrial, vprev, a.dt, a.gmin, st)
+			sp.sym.refactor(nw.w.num, nw.w.aval)
+			sp.sym.solve(nw.w.num, nw.w.rhs, nw.w.delta)
+			delta = nw.w.delta
 		}
 		maxDelta := 0.0
 		for k, i := range e.order {
@@ -116,7 +115,7 @@ func (e *Engine) solveNewton(o *Options, st *runState, a attempt, solver Solver)
 		}
 		if maxDelta < o.VTol {
 			out.converged = true
-			out.sweeps++
+			out.iters++
 			break
 		}
 	}

@@ -40,7 +40,7 @@ func opTol(gmin, vdd float64) float64 {
 // point is the root of the residual regardless of how the Jacobian
 // was built, so polishing parks the dense and sparse solutions on the
 // same answer to within rounding — which is what lets rendered
-// experiment output stay byte-identical across -solver choices.
+// output independent of which kernel the size rule picks.
 const (
 	opPolishTol = 1e-12
 	opPolishMax = 6
@@ -74,12 +74,12 @@ type opKernel interface {
 
 // OperatingPoint computes the DC steady state of the compiled circuit
 // with a full Newton iteration over all free nodes and gmin stepping
-// for robustness. Unlike the per-node relaxation of the transient
-// loop, the full Newton follows collective slow modes — e.g. an MTCMOS
-// virtual ground floating up in standby together with every output-low
-// load — which node-decoupled sweeps cannot move. Sources are
-// evaluated at time tEval; seed voltages (by node name) accelerate
-// convergence.
+// for robustness. It solves for the steady state directly, so it
+// reaches collective slow modes — e.g. an MTCMOS virtual ground
+// floating up in standby together with every output-low load — that a
+// transient would take microseconds of simulated time to settle.
+// Sources are evaluated at time tEval; seed voltages (by node name)
+// accelerate convergence.
 //
 // The linear kernel is chosen automatically by circuit size: the
 // analytic-stamp sparse kernel (stamp.go, sparse.go) for larger

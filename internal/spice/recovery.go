@@ -11,7 +11,7 @@ import (
 
 // Rung identifies a level of the convergence-recovery ladder. The
 // engine climbs the ladder in order when a timestep fails to converge:
-// plain retries at smaller dt (back-off), Gauss-Seidel under-relaxation
+// plain retries at smaller dt (back-off), ω-damped Newton updates
 // (damping), conductance homotopy (Gmin stepping), and finally source
 // ramping. Device-evaluation hooks receive the active rung, which is
 // how the fault-injection harness proves each rung fires.
@@ -22,7 +22,7 @@ const (
 	RungNone Rung = iota
 	// RungBackoff retries the step at successively halved timesteps.
 	RungBackoff
-	// RungDamping under-relaxes the Newton updates (omega < 1).
+	// RungDamping scales every Newton update vector by omega < 1.
 	RungDamping
 	// RungGmin solves a sequence of problems with a shrinking shunt
 	// conductance to ground on every free node, re-seeding each solve
@@ -95,7 +95,7 @@ type EvalInfo struct {
 	Device string  // netlist device name
 	T      float64 // target time of the step being solved
 	Dt     float64 // timestep being attempted
-	Sweep  int     // Gauss-Seidel sweep index within the attempt
+	Sweep  int     // Newton iteration index within the attempt
 	Rung   Rung    // active recovery rung (RungNone on the normal path)
 }
 
@@ -119,8 +119,8 @@ type runState struct {
 	icept Intercept
 	einfo EvalInfo
 
-	// Full-Newton step-solver workspaces (newton.go), allocated on
-	// first use when Options.Solver selects a matrix kernel.
+	// Newton step-solver workspaces (newton.go), allocated on the
+	// run's first step.
 	nw *newtonWork
 }
 
@@ -130,15 +130,15 @@ type attempt struct {
 	omega    float64 // under-relaxation factor (1 = undamped)
 	gmin     float64 // shunt conductance to ground on free nodes
 	lambda   float64 // fraction of the source move toward t+dt applied
-	maxSweep int
+	maxIter  int
 	rung     Rung
 	keepSeed bool // keep vtrial from the previous attempt as the seed
 }
 
-// sweepOut reports one step-solve attempt.
-type sweepOut struct {
+// stepOut reports one step-solve attempt.
+type stepOut struct {
 	converged bool
-	sweeps    int
+	iters     int   // Newton iterations spent
 	worst     int32 // node with the largest final update (diagnostics)
 	nan       bool  // a NaN/Inf voltage appeared at node worst
 }
@@ -181,8 +181,8 @@ func (e *Engine) checkBudgets(o *Options, st *runState) error {
 }
 
 // attemptStep seeds vtrial, applies the (possibly ramped) source
-// values for t+dt, and runs the sweep solver.
-func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
+// values for t+dt, and runs the Newton step solver.
+func (e *Engine) attemptStep(o *Options, st *runState, a attempt) stepOut {
 	copy(st.vprev, st.v)
 	if !a.keepSeed {
 		copy(st.vtrial, st.v)
@@ -200,70 +200,7 @@ func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
 		st.vtrial[s.node] = target
 	}
 	st.einfo = EvalInfo{T: tNew, Dt: a.dt, Rung: a.rung}
-	if o.Solver != SolverAuto {
-		return e.solveNewton(o, st, a, o.Solver)
-	}
-	return e.solveSweeps(o, st, a)
-}
-
-// solveSweeps runs damped Gauss-Seidel sweeps of per-node scalar
-// Newton iterations for one backward-Euler step. Every updated voltage
-// is guarded against NaN/Inf so numerical poison fails fast with the
-// offending node identified.
-func (e *Engine) solveSweeps(o *Options, st *runState, a attempt) sweepOut {
-	vtrial, vprev := st.vtrial, st.vprev
-	out := sweepOut{worst: -1}
-	for ; out.sweeps < a.maxSweep; out.sweeps++ {
-		st.einfo.Sweep = out.sweeps
-		maxDelta := 0.0
-		for _, i := range e.order {
-			vi := vtrial[i]
-			start := vi
-			// Scalar Newton, at most two iterations per sweep;
-			// Gauss-Seidel supplies the outer fixed point.
-			for it := 0; it < 2; it++ {
-				g := e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-				const h = 1e-5
-				vtrial[i] = vi + h
-				gp := e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-				vtrial[i] = vi
-				dg := (gp - g) / h
-				if dg >= -1e-18 {
-					// Degenerate derivative; fall back to a
-					// capacitance-limited explicit move.
-					dg = -e.cg[i]/a.dt - 1e-12
-				}
-				step := -g / dg
-				// Damp huge steps to keep Newton stable.
-				lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
-				if step > lim {
-					step = lim
-				} else if step < -lim {
-					step = -lim
-				}
-				vi += a.omega * step
-				vtrial[i] = vi
-				if math.IsNaN(vi) || math.IsInf(vi, 0) {
-					out.nan = true
-					out.worst = i
-					return out
-				}
-				if math.Abs(step) < o.VTol/4 {
-					break
-				}
-			}
-			if d := math.Abs(vi - start); d > maxDelta {
-				maxDelta = d
-				out.worst = i
-			}
-		}
-		if maxDelta < o.VTol {
-			out.converged = true
-			out.sweeps++
-			break
-		}
-	}
-	return out
+	return e.solveNewton(o, st, a)
 }
 
 // advance takes one timestep of at most dtTry from st.t, climbing the
@@ -272,7 +209,7 @@ func (e *Engine) solveSweeps(o *Options, st *runState, a attempt) sweepOut {
 // ramping. On success the state and result are updated; otherwise a
 // typed *simerr.Error is returned and the partial result stays valid.
 func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
-	accept := func(a attempt, sweeps int, rescued bool) {
+	accept := func(a attempt, iters int, rescued bool) {
 		copy(st.v, st.vtrial)
 		st.t += a.dt
 		st.res.Steps++
@@ -283,29 +220,30 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 			st.dt = math.Max(a.dt, o.DTMin)
 			return
 		}
-		// Adapt: quick convergence earns a larger step.
-		if sweeps <= 6 {
+		// Adapt: a step that converged in at most two Newton
+		// iterations earns a larger one; more than five halves it.
+		if iters <= 2 {
 			st.dt = math.Min(st.dt*1.4, o.DTMax)
-		} else if sweeps > 20 {
+		} else if iters > 5 {
 			st.dt = math.Max(st.dt/2, o.DTMin)
 		}
 	}
 
 	// Rung 1: plain attempts with timestep back-off.
-	var last sweepOut
+	var last stepOut
 	rung := RungNone
 	for {
 		if err := e.checkBudgets(o, st); err != nil {
 			return err
 		}
-		a := attempt{dt: dtTry, omega: 1, lambda: 1, maxSweep: o.MaxSweep, rung: rung}
+		a := attempt{dt: dtTry, omega: 1, lambda: 1, maxIter: o.MaxSweep, rung: rung}
 		out := e.attemptStep(o, st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Sweeps += out.iters
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}
 		if out.converged {
-			accept(a, out.sweeps, false)
+			accept(a, out.iters, false)
 			return nil
 		}
 		last = out
@@ -326,15 +264,15 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 	// Rung 2: under-relaxation at the minimum viable timestep.
 	omega := 0.5
 	for k := 0; k < o.Recovery.DampingLevels; k++ {
-		a := attempt{dt: dtd, omega: omega, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: RungDamping}
+		a := attempt{dt: dtd, omega: omega, lambda: 1, maxIter: 2 * o.MaxSweep, rung: RungDamping}
 		out := e.attemptStep(o, st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Sweeps += out.iters
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}
 		if out.converged {
 			st.res.Recovery.Dampings++
-			accept(a, out.sweeps, true)
+			accept(a, out.iters, true)
 			return nil
 		}
 		last = out
@@ -347,7 +285,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.GminSteps++
-		accept(a, out.sweeps, true)
+		accept(a, out.iters, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
@@ -359,7 +297,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.SourceRamps++
-		accept(a, out.sweeps, true)
+		accept(a, out.iters, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
@@ -372,21 +310,21 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 // problems whose converged solutions seed one another. The final
 // problem of the sequence is the physical one, so its solution (when
 // every stage converges) is a legitimate step.
-func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung, gmins []float64) (bool, sweepOut, attempt, error) {
+func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung, gmins []float64) (bool, stepOut, attempt, error) {
 	var stages []attempt
 	switch rung {
 	case RungGmin:
 		for _, g := range gmins {
-			stages = append(stages, attempt{dt: dt, omega: 0.5, gmin: g, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: rung})
+			stages = append(stages, attempt{dt: dt, omega: 0.5, gmin: g, lambda: 1, maxIter: 2 * o.MaxSweep, rung: rung})
 		}
-		stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: rung})
+		stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: 1, maxIter: 2 * o.MaxSweep, rung: rung})
 	case RungSourceRamp:
 		n := o.Recovery.SourceRampSteps
 		for k := 1; k <= n; k++ {
-			stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: float64(k) / float64(n), maxSweep: 2 * o.MaxSweep, rung: rung})
+			stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: float64(k) / float64(n), maxIter: 2 * o.MaxSweep, rung: rung})
 		}
 	}
-	var out sweepOut
+	var out stepOut
 	var a attempt
 	for i, stage := range stages {
 		if err := e.checkBudgets(o, st); err != nil {
@@ -395,7 +333,7 @@ func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung, gmins
 		stage.keepSeed = i > 0
 		a = stage
 		out = e.attemptStep(o, st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Sweeps += out.iters
 		if out.nan {
 			return false, out, a, e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}

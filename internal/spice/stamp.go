@@ -1,14 +1,13 @@
 package spice
 
 import (
-	"fmt"
 	"sync"
 
 	"mtcmos/internal/mosfet"
 )
 
 // This file assembles the sparse Newton systems solved by the analytic
-// kernel: the Solver selection knob, the per-engine sparse context
+// kernel: the Solver kernel names, the per-engine sparse context
 // (symbolic factorization plus precomputed stamp destinations), and the
 // stamp pass itself. The division of labor with sparse.go: sparse.go
 // knows linear algebra and nothing about circuits; this file knows
@@ -20,19 +19,21 @@ import (
 // assembled matrix is J[r][c] = ∂f_r/∂v_c. Newton then solves
 // J·delta = f and applies v -= delta.
 
-// Solver selects the linear kernel behind the full-Newton solvers
-// (DC operating point, and the matrix transient step solver).
+// Solver selects the linear kernel behind the Newton solvers (DC
+// operating point and transient steps). Product code uses SolverAuto;
+// SolverDense exists as the oracle the kernel tests compare against.
 type Solver int
 
 const (
-	// SolverAuto picks per call site: the sparse kernel for DC solves on
-	// large circuits (with a dense fallback if it fails to converge),
-	// the historical per-node relaxation for transient steps.
+	// SolverAuto is the sparse kernel for transient steps; for DC
+	// solves it picks by circuit size (dense below autoSparseNodes free
+	// nodes, sparse above, with a dense fallback if sparse fails to
+	// converge).
 	SolverAuto Solver = iota
 	// SolverDense forces the numeric-probe dense kernel: one circuit
 	// re-evaluation per node per Newton iteration and an O(n³) LU. Slow
 	// but assumption-free; kept as the oracle the sparse path is tested
-	// against.
+	// against, not as a product path.
 	SolverDense
 	// SolverSparse forces the analytic-stamp sparse kernel everywhere.
 	SolverSparse
@@ -47,19 +48,6 @@ func (s Solver) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseSolver maps the CLI spelling onto a Solver.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "dense":
-		return SolverDense, nil
-	case "sparse":
-		return SolverSparse, nil
-	}
-	return SolverAuto, fmt.Errorf("spice: unknown solver %q (want auto, dense or sparse)", s)
 }
 
 // autoSparseNodes is the free-node count at which SolverAuto switches
@@ -101,8 +89,8 @@ type spWork struct {
 
 // sparseCtx is the per-engine sparse solver context: the symbolic
 // factorization (immutable, shared) and the baked stamp destinations.
-// Built lazily on first use — relaxation-only runs, which dominate the
-// experiment hot paths, never pay for the ordering.
+// Built lazily on first use, so an engine that is compiled and never
+// solved pays nothing for the ordering.
 type sparseCtx struct {
 	sym   *sparseSym
 	rowOf []int32 // engine node index -> matrix row, -1 if fixed/ground

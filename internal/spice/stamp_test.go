@@ -161,28 +161,3 @@ func TestStampMatchesNumericJacobianAdder(t *testing.T) {
 	checkStampAgainstNumeric(t, e, 0, 31)
 	checkStampAgainstNumeric(t, e, 1e-12, 37)
 }
-
-func TestParseSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Solver
-		ok   bool
-	}{
-		{"", SolverAuto, true},
-		{"auto", SolverAuto, true},
-		{"dense", SolverDense, true},
-		{"sparse", SolverSparse, true},
-		{"cholesky", SolverAuto, false},
-	} {
-		got, err := ParseSolver(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseSolver(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	for _, s := range []Solver{SolverAuto, SolverDense, SolverSparse} {
-		back, err := ParseSolver(s.String())
-		if err != nil || back != s {
-			t.Errorf("round trip %v: got %v, %v", s, back, err)
-		}
-	}
-}

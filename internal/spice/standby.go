@@ -27,20 +27,17 @@ type StandbyResult struct {
 // Standby computes the sleep-mode operating point of an MTCMOS circuit
 // with the reference engine's full-Newton DC solver. The floating
 // virtual ground and every node riding on it form a collective slow
-// mode that the transient loop's node-decoupled relaxation cannot
-// follow, so this is a genuine DC analysis: gmin-stepped Newton over
-// the whole network (see engine.OperatingPoint). Suitable for the
-// paper-scale circuits (tree, adders); the dense solve grows cubically
-// with node count.
+// mode that a microseconds-long transient settles only slowly, so this
+// is a genuine DC analysis: gmin-stepped Newton over the whole network
+// (see engine.OperatingPoint).
 func Standby(c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error) {
-	return StandbyWith(c, inputs, SolverAuto)
+	return standbyWith(c, inputs, SolverAuto)
 }
 
-// StandbyWith is Standby with an explicit linear-kernel choice for the
-// DC solves: dense, sparse, or size-based auto. The warm-up transient
-// always uses the relaxation solver; only the Newton operating-point
-// analysis is affected.
-func StandbyWith(c *circuit.Circuit, inputs map[string]bool, solver Solver) (*StandbyResult, error) {
+// standbyWith is Standby with an explicit linear-kernel choice for the
+// DC solves, so the kernel tests and benchmarks can compare dense and
+// sparse. The warm-up transient always uses the product kernel.
+func standbyWith(c *circuit.Circuit, inputs map[string]bool, solver Solver) (*StandbyResult, error) {
 	if c.SleepWL <= 0 {
 		return nil, fmt.Errorf("spice: standby analysis needs a sleep device")
 	}
@@ -68,7 +65,7 @@ func StandbyWith(c *circuit.Circuit, inputs map[string]bool, solver Solver) (*St
 		if err != nil {
 			return nil, nil, err
 		}
-		// Two-stage solve: a short relaxation transient settles every
+		// Two-stage solve: a short coarse transient settles every
 		// individually-anchored node (strong conduction paths), giving
 		// the full Newton a consistent starting point from which only
 		// the collective floating-rail mode remains to move.

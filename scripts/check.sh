@@ -41,6 +41,28 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== experiments_output.txt staleness =="
+# Re-render every experiment and diff against the committed output
+# (regenerate with: go run ./cmd/mtexp -e all -time > experiments_output.txt).
+# Only measured wall-clock may differ: the "(<id> in <duration>)" lines
+# and the header, rule and two measured rows of the Sec. 6.2 speedup
+# table. Everything else renders byte-identically across runs and -j.
+stable_output() {
+    awk '
+        /^==== / { speedup = ($2 == "speedup:") }
+        /^\([a-z0-9]+ in [^)]*\)$/ { next }
+        speedup && (/^tool / || /^-+ / || /^switch-level \(measured/ || /^reference engine \(measured/) { next }
+        { print }
+    ' "$1"
+}
+rendered=$(mktemp)
+trap 'rm -f "$rendered"' EXIT
+go run ./cmd/mtexp -e all -time > "$rendered"
+if ! diff -u <(stable_output experiments_output.txt) <(stable_output "$rendered"); then
+    echo "experiments_output.txt is stale; regenerate it (command above)" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race -timeout "$CHECK_TIMEOUT" ./...
 
